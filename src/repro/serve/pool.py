@@ -489,6 +489,9 @@ class WorkerPool:
     max_task_retries:
         Times a task is resubmitted after killing its worker before its
         future fails with :class:`WorkerCrash`.
+    poll_s:
+        Manager tick for liveness, the spawn and deadline watchdogs and
+        queued-deadline shedding; submit, resize and shutdown wake it.
     max_respawns:
         Restart budget: total worker replacements (crashes plus watchdog
         kills) before the pool declares itself broken.  Default
@@ -554,6 +557,7 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._ready_cv = threading.Condition(self._lock)
         self._pending: "deque[_Task]" = deque()
+        self._wake_sent = False  # a "wake" is queued and not yet handled
         self._closing = False
         self._drain = True  # finish pending work on shutdown?
         self._broken = False
@@ -610,6 +614,7 @@ class WorkerPool:
             )
             self.stats.counter("pool.tasks").inc()
             self.stats.gauge("pool.queue_depth").set(len(self._pending))
+            self._wake()
         return future
 
     def map(self, name: str, args: List[Any]) -> List[Any]:
@@ -666,6 +671,7 @@ class WorkerPool:
                 return False
             self._target_workers = nworkers
             self.nworkers = nworkers
+            self._wake()
         self.stats.gauge("pool.target_workers").set(nworkers)
         return True
 
@@ -679,6 +685,7 @@ class WorkerPool:
             if not wait:
                 cancelled, self._pending = list(self._pending), deque()
                 self.stats.gauge("pool.queue_depth").set(0)
+            self._wake()
         if not wait:
             for task in cancelled:
                 task.future.cancel()
@@ -706,6 +713,14 @@ class WorkerPool:
             wid, inq, self._outq, self._warmup, self._transport
         )
         self._workers[wid] = _WorkerState(wid, handle, inq)
+
+    def _wake(self) -> None:
+        """Wake the manager via ``_outq`` (call under ``_lock``).  Wakes
+        coalesce: the pass a queued wake triggers clears the flag before
+        it dispatches, so it sees every task submitted until then."""
+        if not self._wake_sent:
+            self._wake_sent = True
+            self._outq.put(("wake", None, None, None, 0.0, None))
 
     def _manage(self) -> None:
         while True:
@@ -757,6 +772,10 @@ class WorkerPool:
 
     def _handle_message(self, msg) -> None:
         kind, wid, task_id, payload, dur, spans = msg
+        if kind == "wake":
+            with self._lock:
+                self._wake_sent = False
+            return
         worker = self._workers.get(wid)
         if kind == "ready":
             if worker is not None:

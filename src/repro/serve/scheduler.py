@@ -16,7 +16,7 @@ The pool executes whatever it is given; the scheduler decides *what* and
 * **micro-batching** -- small same-kind requests are coalesced into one
   worker dispatch (one queue round-trip, one task setup, amortized over
   the batch), flushed when the batch fills or the oldest member has waited
-  ``batch_wait_s``.
+  ``batch_wait_s``, a window that opens only when peers are queued.
 * **loss-free crashes** -- worker crash recovery lives in the pool; the
   scheduler adds completion accounting so every request's latency (queue
   wait included) lands in the metrics registry.
@@ -76,7 +76,7 @@ class Scheduler:
         A request at most ``batch_bytes`` big is batchable; up to
         ``batch_max`` same-name batchable requests from one lane coalesce
         into a single dispatch, flushed when full or when the oldest has
-        waited ``batch_wait_s`` seconds.
+        waited ``batch_wait_s`` seconds (a lone request never waits).
     """
 
     def __init__(
@@ -88,7 +88,6 @@ class Scheduler:
         batch_bytes: int = 1 << 20,
         batch_wait_s: float = 0.01,
         stats: Optional[MetricsRegistry] = None,
-        poll_s: float = 0.02,
     ):
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -97,11 +96,10 @@ class Scheduler:
         self.pool = pool
         self.stats = stats if stats is not None else pool.stats
         self.max_pending = max_pending
-        self.max_inflight = max_inflight if max_inflight is not None else pool.nworkers
+        self._max_inflight = max_inflight if max_inflight is not None else pool.nworkers
         self.batch_max = batch_max
         self.batch_bytes = batch_bytes
         self.batch_wait_s = batch_wait_s
-        self._poll_s = poll_s
         self._cv = threading.Condition()
         self._lanes: Dict[str, "deque[_Request]"] = {p: deque() for p in PRIORITIES}
         self._inflight = 0
@@ -154,6 +152,16 @@ class Scheduler:
             self.stats.gauge("scheduler.queue_depth").set(depth + 1)
             self._cv.notify_all()
         return future
+
+    @property
+    def max_inflight(self) -> int:
+        return self._max_inflight
+
+    @max_inflight.setter
+    def max_inflight(self, n: int) -> None:
+        with self._cv:  # wake the dispatcher to use a lifted cap
+            self._max_inflight = n
+            self._cv.notify_all()
 
     @property
     def queue_depth(self) -> int:
@@ -215,14 +223,10 @@ class Scheduler:
                     (lane is not None and self._inflight < self.max_inflight)
                     or self._closing
                 ):
-                    self._cv.wait(self._poll_s)
+                    self._cv.wait()
                     lane = self._next_lane()
-                if lane is None:
-                    if self._closing:
-                        return
-                    continue
-                if self._inflight >= self.max_inflight and not self._closing:
-                    continue
+                if lane is None:  # closing with nothing left to drain
+                    return
                 head = self._lanes[lane].popleft()
                 if head.future.cancelled():
                     self._publish_depth()
@@ -254,7 +258,8 @@ class Scheduler:
 
     def _fill_batch(self, batch, lane, shed) -> None:
         """Gather same-name batchable peers (must be called under _cv);
-        expired peers are moved to ``shed`` instead of batched."""
+        expired peers are moved to ``shed`` instead of batched.  The
+        window opens only if a peer was already queued behind the head."""
         first = batch[0]
         deadline = first.t_enqueue + self.batch_wait_s
         while len(batch) < self.batch_max:
@@ -271,9 +276,9 @@ class Scheduler:
                     return  # preserve FIFO order within the lane
                 batch.append(queue.popleft())
             remaining = deadline - time.perf_counter()
-            if remaining <= 0 or self._closing or len(batch) >= self.batch_max:
+            if len(batch) in (1, self.batch_max) or remaining <= 0 or self._closing:
                 return
-            self._cv.wait(min(remaining, self._poll_s))
+            self._cv.wait(remaining)
 
     def _publish_depth(self) -> None:
         self.stats.gauge("scheduler.queue_depth").set(

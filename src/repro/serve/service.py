@@ -61,7 +61,7 @@ class ServiceConfig:
     max_inflight: Optional[int] = None
     batch_max: int = 8
     batch_bytes: int = 1 << 20
-    batch_wait_s: float = 0.005
+    batch_wait_s: float = 0.005  # window only when peers are queued
     warmup: bool = True
     # -- resilience (docs/RESILIENCE.md) ------------------------------------
     resilience: bool = True  # route via ResilientRouter

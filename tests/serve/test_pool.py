@@ -226,3 +226,61 @@ class TestProcessPool:
             assert pool.submit("test.crash_if_file", str(marker)).result(60) == "survived"
             assert pool.stats.counter("pool.worker_crashes").value >= 1
             assert pool.submit("pool.echo", "alive").result(30) == "alive"
+
+
+class TestEventDrivenDispatch:
+    """Submit, shutdown and resize wake the manager at once.  A 5 s
+    ``poll_s`` makes any hand-off that still waits for the manager's
+    tick miss the 1 s bounds by seconds, not milliseconds."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_submit_does_not_wait_for_the_poll_tick(self, backend):
+        with WorkerPool(
+            nworkers=1, backend=backend, warmup=False, poll_s=5.0
+        ) as pool:
+            assert pool.wait_ready(60.0)
+            t0 = time.perf_counter()
+            assert pool.submit("pool.echo", "now").result(10) == "now"
+            assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_shutdown_does_not_wait_for_the_poll_tick(self, backend):
+        pool = WorkerPool(nworkers=1, backend=backend, warmup=False, poll_s=5.0)
+        assert pool.wait_ready(60.0)
+        t0 = time.perf_counter()
+        pool.shutdown()
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_resize_does_not_wait_for_the_poll_tick(self):
+        with WorkerPool(
+            nworkers=1, backend="thread", warmup=False, poll_s=5.0
+        ) as pool:
+            assert pool.wait_ready(10.0)
+            t0 = time.perf_counter()
+            assert pool.resize(2)
+            while pool.workers_alive < 2 and time.perf_counter() - t0 < 10.0:
+                time.sleep(0.005)
+            assert pool.workers_alive == 2
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_coalesced_wakes_lose_no_task(self):
+        """A burst submitted while the only worker is busy sends wakes that
+        coalesce; every task still runs, in order, and the flag is clear
+        once the pool is idle."""
+        with WorkerPool(
+            nworkers=1, backend="thread", warmup=False, poll_s=5.0
+        ) as pool:
+            assert pool.wait_ready(10.0)
+            order = []
+            blocker = pool.submit("pool.sleep", 0.2)
+            t0 = time.perf_counter()
+            while pool.queue_depth and time.perf_counter() - t0 < 0.15:
+                time.sleep(0.001)  # park the blocker on the worker
+            futures = [pool.submit("pool.echo", i) for i in range(200)]
+            for f in futures:
+                f.add_done_callback(lambda f: order.append(f.result()))
+            assert [f.result(10) for f in futures] == list(range(200))
+            assert time.perf_counter() - t0 < 1.0
+            assert blocker.result(0) == 0.2
+            assert order == list(range(200))
+            assert not pool._wake_sent

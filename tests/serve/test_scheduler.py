@@ -223,3 +223,35 @@ class TestShutdown:
     def test_context_manager(self, pool):
         with Scheduler(pool) as sched:
             assert sched.submit("pool.echo", 9).result(10) == 9
+
+
+class TestEventDrivenDispatch:
+    def test_lone_request_skips_the_batch_window(self, pool):
+        """The window opens only when peers are queued: a 5 s window must
+        not delay a request that arrives alone."""
+        sched = Scheduler(pool, batch_max=8, batch_wait_s=5.0)
+        try:
+            t0 = time.perf_counter()
+            assert sched.submit("pool.echo", 7, nbytes=8).result(10) == 7
+            assert time.perf_counter() - t0 < 1.0
+        finally:
+            sched.shutdown()
+
+    def test_raised_inflight_cap_dispatches_at_once(self):
+        """The dispatcher has no poll: lifting ``max_inflight`` (as the
+        autoscaler does) must wake it rather than wait for a completion."""
+        pool = WorkerPool(nworkers=2, backend="thread", warmup=False)
+        sched = Scheduler(pool, max_inflight=1, batch_wait_s=0.0)
+        try:
+            assert pool.wait_ready(10.0)
+            blocker = _occupy(pool, sched, seconds=1.5)
+            queued = sched.submit("pool.echo", "x", batchable=False)
+            time.sleep(0.05)  # let the dispatcher park on the full cap
+            t0 = time.perf_counter()
+            sched.max_inflight = 2
+            assert queued.result(10) == "x"
+            assert time.perf_counter() - t0 < 1.0
+            assert blocker.result(10) == 1.5
+        finally:
+            sched.shutdown()
+            pool.shutdown()
