@@ -1,18 +1,19 @@
 """Chunked streaming engine: bounded-memory codec over group-aligned chunks.
 
-Arbitrarily large fields are split into chunks whose boundaries land on
-checksum-group boundaries (:func:`repro.core.stream.chunk_spans`), and each
-chunk is compressed into its *own* self-contained format-v2 stream.  Three
-properties follow:
+Arbitrarily large fields are split into chunks, and each chunk is
+compressed into its *own* self-contained stream by a registered
+:mod:`repro.codecs` plugin.  For the core codec the boundaries land on
+checksum-group boundaries (:func:`repro.core.stream.chunk_spans`) and
+each chunk is a format-v2 stream.  Three properties follow:
 
 * **bounded memory** -- compression touches one chunk of input and one
   chunk of output at a time, so peak RSS tracks the chunk size, not the
   field size;
-* **bit-identical output** -- the codec's blocks are independent (each
-  block's first element is stored raw, differences never cross block
-  boundaries) and the error bound is resolved *once against the whole
-  field*, so decoding the chunks and concatenating reproduces exactly the
-  bytes the monolithic stream would decode to;
+* **bit-identical output** (core codec) -- its blocks are independent
+  (each block's first element is stored raw, differences never cross
+  block boundaries) and the error bound is resolved *once against the
+  whole field*, so decoding the chunks and concatenating reproduces
+  exactly the bytes the monolithic stream would decode to;
 * **worker parallelism** -- a chunk is a complete codec job with no shared
   state, which is what lets :mod:`repro.serve.pool` fan chunks out over
   processes.
@@ -33,8 +34,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import codecs as _codecs
 from repro.core import stream as _stream
-from repro.core.compressor import DEFAULT_BLOCK, MODES, compress as _compress
+from repro.core.compressor import DEFAULT_BLOCK
 from repro.core.compressor import decompress as _decompress
 from repro.core.errors import InvalidInputError, StreamFormatError
 from repro.core.quantize import ErrorBound, validate_input
@@ -389,22 +391,19 @@ def raw_from_bytes(buf) -> np.ndarray:
 
 @register_task("chunk.compress")
 def compress_chunk(arg: dict) -> np.ndarray:
-    """Compress one chunk under an already-resolved ABS bound.  The task
-    dict carries the kernel-backend name so process workers make the same
-    backend choice as the coordinating session (every backend is
-    byte-identical, so a mixed fleet would still be correct -- just
-    unintentional)."""
+    """Compress one chunk (or a whole small field) through a registered
+    :mod:`repro.codecs` plugin.  The task dict is ``{"data": ndarray,
+    "codec": name, "opts": {...}}`` with the options already validated on
+    the caller's thread and a bounded plugin's REL bound already resolved
+    to ``abs`` against the whole field; ``opts`` carries the kernel-backend
+    name too, so process workers make the coordinating session's backend
+    choice (every backend is byte-identical, so a mixed fleet would still
+    be correct -- just unintentional)."""
     data = arg["data"]
-    with obs_trace.maybe_span("chunk.compress", bytes_in=int(data.nbytes)) as sp:
-        out = _compress(
-            data,
-            abs=arg["eb_abs"],
-            mode=arg.get("mode", "outlier"),
-            block=arg.get("block", DEFAULT_BLOCK),
-            predictor_ndim=arg.get("predictor_ndim", 1),
-            group_blocks=arg.get("group_blocks", _stream.DEFAULT_GROUP_BLOCKS),
-            kernel_backend=arg.get("kernel_backend", "auto"),
-        )
+    with obs_trace.maybe_span(
+        "chunk.compress", bytes_in=int(data.nbytes), codec=arg["codec"]
+    ) as sp:
+        out = _codecs.encode(data, arg["codec"], **arg["opts"])
         if sp is not None:
             sp.set(bytes_out=int(out.size))
         return out
@@ -432,8 +431,6 @@ def decompress_chunk(arg) -> np.ndarray:
         elif _is_csz2(arg):
             out = _decompress(arg, kernel_backend=kernel_backend)
         else:
-            from repro import codecs as _codecs
-
             out = _codecs.decode(arg)
         if sp is not None:
             sp.set(bytes_out=int(out.nbytes))
@@ -447,51 +444,118 @@ def _is_csz2(buf) -> bool:
     return head.size >= 4 and bytes(head[:4]) == _stream.MAGIC
 
 
-@register_task("codec.compress")
-def codec_compress(arg: dict) -> np.ndarray:
-    """Compress through a registered :mod:`repro.codecs` plugin.  The task
-    dict is ``{"data": ndarray, "codec": name, "opts": {...}}`` with the
-    error bound (for bounded plugins) already inside ``opts``."""
-    from repro import codecs as _codecs
+# ---------------------------------------------------------------------------
+# Request preparation, planning and assembly (shared with the service)
+# ---------------------------------------------------------------------------
 
-    data = arg["data"]
-    with obs_trace.maybe_span(
-        "codec.compress", bytes_in=int(data.nbytes), codec=arg["codec"]
-    ) as sp:
-        out = _codecs.encode(data, arg["codec"], **arg.get("opts", {}))
-        if sp is not None:
-            sp.set(bytes_out=int(out.size))
-        return out
+def resolve_request(
+    data: np.ndarray,
+    codec,
+    opts: dict,
+    rel: Optional[float] = None,
+    abs: Optional[float] = None,  # noqa: A002 - mirrors repro.compress
+) -> Tuple[dict, float]:
+    """Validate a compress request on the caller's thread.
+
+    Returns ``(opts, eb_abs)``: the plugin's validated options (defaults
+    filled) and the absolute bound.  A bounded plugin's REL bound is
+    resolved to ``abs`` once against the *whole* field, so every chunk
+    compresses under the same bound; fixed-rate plugins ignore ``rel`` /
+    ``abs`` and record ``eb_abs`` 0.0."""
+    plugin = _codecs.resolve(codec)
+    opts = dict(opts)
+    eb_abs = 0.0
+    if plugin.bounded:
+        if (rel is None) == (abs is None):
+            raise InvalidInputError("specify exactly one of rel= or abs=")
+        eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
+        eb_abs = eb.resolve(validate_input(data))
+        opts["abs"] = eb_abs
+    return plugin.validate_options(opts), eb_abs
 
 
-@register_task("codec.decompress")
-def codec_decompress(arg) -> np.ndarray:
-    """Decode through the plugin registry (sniffing unless ``codec`` is
-    forced).  ``arg`` is the stream bytes or ``{"stream": ..., "codec": ...}``."""
-    from repro import codecs as _codecs
+def _layout(opts: dict) -> Tuple[str, int, int, int]:
+    """``(mode, predictor_ndim, block, group_blocks)`` for the chunk plan
+    and manifest, from a codec's validated options.  A codec without such
+    an option gets the neutral value: no mode, the flat predictor, and
+    the finest alignment the planner allows (8-element granules)."""
+    return (
+        opts.get("mode", ""),
+        opts.get("predictor_ndim", 1),
+        opts.get("block", 8),
+        opts.get("group_blocks", 1),
+    )
 
-    codec = None
-    if isinstance(arg, dict):
-        codec = arg.get("codec")
-        arg = arg["stream"]
-    nbytes = int(arg.size) if isinstance(arg, np.ndarray) else len(arg)
-    with obs_trace.maybe_span("codec.decompress", bytes_in=nbytes) as sp:
-        out = _codecs.decode(arg, codec=codec)
-        if sp is not None:
-            sp.set(bytes_out=int(out.nbytes))
-        return out
+
+def split(
+    data: np.ndarray,
+    opts: dict,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+    chunk_elems: Optional[int] = None,
+):
+    """Plan ``data``'s chunks under validated codec options and return
+    ``(spans, axis, views)``; the views are zero-copy slices."""
+    _mode, ndim, block, group_blocks = _layout(opts)
+    spans, axis = plan_chunks(
+        data.shape,
+        data.dtype.itemsize,
+        predictor_ndim=ndim,
+        block=block,
+        group_blocks=group_blocks,
+        chunk_bytes=chunk_bytes,
+        chunk_elems=chunk_elems,
+    )
+    if axis == "flat":
+        flat = data.reshape(-1)
+        return spans, axis, [flat[lo:hi] for lo, hi in spans]
+    return spans, axis, [data[lo:hi] for lo, hi in spans]
+
+
+def assemble(
+    data: np.ndarray, spans, axis: str, streams, eb_abs: float, opts: dict
+) -> ChunkedStream:
+    """Wrap per-chunk streams (raw-passthrough chunks flagged) and their
+    manifest into a :class:`ChunkedStream`."""
+    mode, ndim, block, group_blocks = _layout(opts)
+    entries = tuple(
+        ChunkEntry(
+            nelems=hi - lo,
+            nbytes=int(s.size),
+            crc32=zlib.crc32(s.tobytes()) & 0xFFFFFFFF,
+            raw=is_raw(s),
+        )
+        for (lo, hi), s in zip(spans, streams)
+    )
+    manifest = ChunkManifest(
+        shape=tuple(data.shape),
+        dtype=np.dtype(data.dtype).name,
+        mode=mode,
+        predictor_ndim=ndim,
+        block=block,
+        group_blocks=group_blocks,
+        eb_abs=eb_abs,
+        axis=axis,
+        entries=entries,
+    )
+    return ChunkedStream(manifest, streams)
+
+
+def reassemble(manifest: ChunkManifest, parts) -> np.ndarray:
+    """Join decoded chunks back into the field ``manifest`` describes."""
+    if manifest.axis == "flat":
+        out = np.concatenate([p.reshape(-1) for p in parts])
+    else:
+        out = np.concatenate(parts, axis=0)
+    if out.dtype != np.dtype(manifest.dtype):  # pragma: no cover - defensive
+        raise StreamFormatError(
+            f"chunks decoded to {out.dtype}, manifest says {manifest.dtype}"
+        )
+    return out.reshape(manifest.shape)
 
 
 # ---------------------------------------------------------------------------
 # Engine entry points
 # ---------------------------------------------------------------------------
-
-def _chunk_views(data: np.ndarray, spans, axis: str):
-    if axis == "flat":
-        flat = data.reshape(-1)
-        return [flat[lo:hi] for lo, hi in spans]
-    return [data[lo:hi] for lo, hi in spans]
-
 
 def compress_chunked(
     data: np.ndarray,
@@ -514,59 +578,26 @@ def compress_chunked(
     :class:`~repro.serve.pool.WorkerPool` to compress chunks in parallel.
     """
     data = np.asarray(data)
-    if mode not in MODES:
-        raise InvalidInputError(f"mode must be 'plain' or 'outlier', got {mode!r}")
-    if (rel is None) == (abs is None):
-        raise InvalidInputError("specify exactly one of rel= or abs=")
-    eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
-    eb_abs = eb.resolve(validate_input(data))
-
-    spans, axis = plan_chunks(
-        data.shape,
-        data.dtype.itemsize,
-        predictor_ndim=predictor_ndim,
-        block=block,
-        group_blocks=group_blocks,
-        chunk_bytes=chunk_bytes,
-        chunk_elems=chunk_elems,
-    )
-    args = [
+    opts, eb_abs = resolve_request(
+        data,
+        "cuszp2",
         {
-            "data": view,
-            "eb_abs": eb_abs,
             "mode": mode,
             "block": block,
             "predictor_ndim": predictor_ndim,
             "group_blocks": group_blocks,
             "kernel_backend": kernel_backend,
-        }
-        for view in _chunk_views(data, spans, axis)
-    ]
+        },
+        rel=rel,
+        abs=abs,
+    )
+    spans, axis, views = split(data, opts, chunk_bytes, chunk_elems)
+    args = [{"data": v, "codec": "cuszp2", "opts": opts} for v in views]
     if pool is not None:
         streams = pool.map("chunk.compress", args)
     else:
         streams = [compress_chunk(a) for a in args]
-
-    entries = tuple(
-        ChunkEntry(
-            nelems=hi - lo,
-            nbytes=int(s.size),
-            crc32=zlib.crc32(s.tobytes()) & 0xFFFFFFFF,
-        )
-        for (lo, hi), s in zip(spans, streams)
-    )
-    manifest = ChunkManifest(
-        shape=tuple(data.shape),
-        dtype=np.dtype(data.dtype).name,
-        mode=mode,
-        predictor_ndim=predictor_ndim,
-        block=block,
-        group_blocks=group_blocks,
-        eb_abs=eb_abs,
-        axis=axis,
-        entries=entries,
-    )
-    return ChunkedStream(manifest, streams)
+    return assemble(data, spans, axis, streams, eb_abs, opts)
 
 
 def decompress_chunked(obj, pool=None, kernel_backend: str = "auto") -> np.ndarray:
@@ -574,7 +605,6 @@ def decompress_chunked(obj, pool=None, kernel_backend: str = "auto") -> np.ndarr
     the original field shape; chunks decode independently (optionally in
     parallel over ``pool``)."""
     chunked = obj if isinstance(obj, ChunkedStream) else ChunkedStream.from_bytes(obj)
-    m = chunked.manifest
     if kernel_backend != "auto":
         args = [{"stream": c, "kernel_backend": kernel_backend} for c in chunked.chunks]
     else:
@@ -583,12 +613,4 @@ def decompress_chunked(obj, pool=None, kernel_backend: str = "auto") -> np.ndarr
         parts = pool.map("chunk.decompress", args)
     else:
         parts = [decompress_chunk(c) for c in args]
-    if m.axis == "flat":
-        out = np.concatenate([p.reshape(-1) for p in parts])
-    else:
-        out = np.concatenate(parts, axis=0)
-    if out.dtype != np.dtype(m.dtype):  # pragma: no cover - defensive
-        raise StreamFormatError(
-            f"chunks decoded to {out.dtype}, manifest says {m.dtype}"
-        )
-    return out.reshape(m.shape)
+    return reassemble(chunked.manifest, parts)

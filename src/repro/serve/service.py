@@ -2,10 +2,10 @@
 
 :class:`CompressionService` is the piece a training stack embeds: submit
 arrays, get futures for compressed bytes; submit compressed bytes, get
-futures for arrays.  Internally a request either rides the scheduler's
-micro-batching path (small arrays) or fans out as independent group-aligned
-chunks (large arrays), and decode results are served from a content-hashed
-LRU when the same stream is requested twice.
+futures for arrays.  Whatever the configured codec, a request either
+rides the scheduler's micro-batching path (small arrays) or fans out as
+independent chunks (large arrays), and decode results are served from a
+content-hashed LRU when the same stream is requested twice.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro import codecs as _codecs
 from repro.core import stream as _stream
-from repro.core.compressor import DEFAULT_BLOCK
-from repro.core.errors import IntegrityError, InvalidInputError
-from repro.core.quantize import ErrorBound, validate_input
+from repro.core.errors import IntegrityError
 from repro.obs.trace import TraceContext, Tracer
 
 from . import chunked as _chunked
@@ -39,21 +38,22 @@ class ServiceConfig:
 
     workers: int = 2
     backend: str = "thread"  # "thread" (tests / I/O mixes) | "process" (CPU)
-    kernel_backend: str = "auto"  # codec kernel registry name; workers inherit it
+    kernel_backend: str = "auto"  # kernel registry name (codecs with that option)
     transport: str = "pickle"  # "pickle" | "shm" (zero-copy, serve/shm.py)
     shm_slots: Optional[int] = None  # arena slots (None: 4*workers+8)
     shm_slot_bytes: int = 8 << 20  # bytes per arena slot
     shm_min_bytes: Optional[int] = None  # below this, pickle anyway
-    mode: str = "outlier"
-    block: int = DEFAULT_BLOCK
-    group_blocks: int = _stream.DEFAULT_GROUP_BLOCKS
-    #: Compressor plugin (repro.codecs registry name).  The default keeps
-    #: the golden CSZ2 chunked/resilient path; any other name routes
-    #: requests through the plugin's worker task.  Decoding always sniffs,
-    #: so a service decompresses any registered codec's streams.
+    mode: str = "outlier"  # only for codecs with a "mode" option
+    #: Compressor plugin (repro.codecs registry name).  Every codec takes
+    #: the same path: one batchable task below ``chunk_bytes``, one task
+    #: per chunk above it, per-chunk raw degradation, and the CRC ship-back
+    #: check when the codec emits CSZ2.  Decoding always sniffs, so a
+    #: service decompresses any registered codec's streams.
     codec: str = "cuszp2"
-    #: Extra plugin options as ``(name, value)`` pairs (kept a tuple so the
-    #: frozen config stays hashable), e.g. ``(("rate", 16.0),)`` for cuzfp.
+    #: Plugin options as ``(name, value)`` pairs (kept a tuple so the
+    #: frozen config stays hashable), e.g. ``(("block", 64),)`` for cuszp2
+    #: or ``(("rate", 16.0),)`` for cuzfp.  ``predictor_ndim`` also picks
+    #: the chunk layout (axis-0 row slabs for 2-D/3-D).
     codec_opts: tuple = ()
     chunk_bytes: int = _chunked.DEFAULT_CHUNK_BYTES  # fan-out threshold
     cache_bytes: int = 256 << 20
@@ -267,9 +267,15 @@ class CompressionService:
         priority: str = "bulk",
         timeout_s: Optional[float] = None,
     ) -> PoolFuture:
-        """Submit a compression request; the future resolves to the
-        compressed bytes (a single v2 stream below the chunk threshold, a
-        ``CSZ2CHNK`` container above it).
+        """Submit a compression request through ``config.codec``; the
+        future resolves to the compressed bytes (a single stream of that
+        codec below the chunk threshold, a ``CSZ2CHNK`` container of its
+        streams above it).
+
+        Options are checked on the caller's thread: ``mode`` (per request,
+        else ``config.mode``) and ``config.kernel_backend`` apply only to
+        plugins that declare them, and a per-request ``mode`` to one that
+        does not raises :class:`InvalidInputError`.
 
         ``timeout_s`` (default: ``config.deadline_s``) bounds the request
         end to end: expired work is shed, overrunning workers are
@@ -279,155 +285,14 @@ class CompressionService:
         deadline or fail."""
         cfg = self.config
         data = np.asarray(data)
-        if cfg.codec != "cuszp2":
-            return self._compress_codec(
-                data, rel=rel, abs=abs, priority=priority, timeout_s=timeout_s
-            )
-        if (rel is None) == (abs is None):
-            raise InvalidInputError("specify exactly one of rel= or abs=")
-        eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
-        eb_abs = eb.resolve(validate_input(data))
-        mode = mode if mode is not None else cfg.mode
-        t0 = time.perf_counter()
-        self.stats.counter("service.requests").inc()
-        self.stats.counter("service.bytes_in").inc(data.nbytes)
-        span = (
-            self.tracer.begin(
-                "service.compress", bytes_in=int(data.nbytes), mode=mode,
-                priority=priority,
-            )
-            if self.tracer is not None
-            else None
-        )
-        trace = TraceContext(self.tracer, span) if span is not None else None
-        deadline = self._deadline(timeout_s)
-        validator = _verify_stream_result if cfg.validate_results else None
-
-        if data.nbytes <= cfg.chunk_bytes:
-            arg = {
-                "data": data,
-                "eb_abs": eb_abs,
-                "mode": mode,
-                "block": cfg.block,
-                "group_blocks": cfg.group_blocks,
-                "kernel_backend": cfg.kernel_backend,
-            }
-            master = self._submit(
-                "chunk.compress", arg, priority=priority, nbytes=data.nbytes,
-                batchable=True, trace=trace, deadline=deadline,
-                validator=validator,
-                raw_fallback=(
-                    (lambda: _chunked.raw_to_bytes(data))
-                    if cfg.degrade_raw else None
-                ),
-            )
-        else:
-            spans, axis = _chunked.plan_chunks(
-                data.shape,
-                data.dtype.itemsize,
-                block=cfg.block,
-                group_blocks=cfg.group_blocks,
-                chunk_bytes=cfg.chunk_bytes,
-            )
-            views = _chunked._chunk_views(data, spans, axis)
-            futures = [
-                self._submit(
-                    "chunk.compress",
-                    {
-                        "data": view,
-                        "eb_abs": eb_abs,
-                        "mode": mode,
-                        "block": cfg.block,
-                        "group_blocks": cfg.group_blocks,
-                        "kernel_backend": cfg.kernel_backend,
-                    },
-                    priority=priority,
-                    nbytes=view.nbytes,
-                    batchable=False,
-                    trace=trace,
-                    deadline=deadline,
-                    validator=validator,
-                    # per-chunk raw floor: a sick fleet degrades only the
-                    # chunks it failed, flagged per-entry in the manifest
-                    raw_fallback=(
-                        (lambda view=view: _chunked.raw_to_bytes(view))
-                        if cfg.degrade_raw else None
-                    ),
-                )
-                for view in views
-            ]
-
-            def assemble(streams):
-                import zlib
-
-                entries = tuple(
-                    _chunked.ChunkEntry(
-                        nelems=hi - lo,
-                        nbytes=int(s.size),
-                        crc32=zlib.crc32(s.tobytes()) & 0xFFFFFFFF,
-                        raw=_chunked.is_raw(s),
-                    )
-                    for (lo, hi), s in zip(spans, streams)
-                )
-                manifest = _chunked.ChunkManifest(
-                    shape=tuple(data.shape),
-                    dtype=np.dtype(data.dtype).name,
-                    mode=mode,
-                    predictor_ndim=1,
-                    block=cfg.block,
-                    group_blocks=cfg.group_blocks,
-                    eb_abs=eb_abs,
-                    axis=axis,
-                    entries=entries,
-                )
-                return _chunked.ChunkedStream(manifest, streams).to_bytes()
-
-            master = _gather(futures, assemble)
-
-        def account(f: PoolFuture) -> None:
-            self.stats.histogram("service.compress_latency_s").observe(
-                time.perf_counter() - t0
-            )
-            err = f.exception()
-            if err is None:
-                self.stats.counter("service.bytes_out").inc(int(f.result().size))
-            if span is not None:
-                self.tracer.end(
-                    span, ok=err is None,
-                    bytes_out=int(f.result().size) if err is None else 0,
-                )
-
-        master.add_done_callback(account)
-        return master
-
-    def _compress_codec(
-        self,
-        data: np.ndarray,
-        rel: Optional[float],
-        abs: Optional[float],  # noqa: A002 - mirrors compress()
-        priority: str,
-        timeout_s: Optional[float],
-    ) -> PoolFuture:
-        """Route a compression request through a non-default plugin
-        (``config.codec``): one ``codec.compress`` task, no chunk fan-out.
-
-        The error bound rides inside the plugin's options (bounded plugins
-        only; fixed-rate plugins like cuzfp ignore it and take their knobs
-        from ``config.codec_opts``).  ``validate_results`` is a CSZ2 CRC
-        check, so it does not apply here; the raw-passthrough degradation
-        floor still does."""
-        cfg = self.config
-        from repro import codecs as _codecs
-
         plugin = _codecs.resolve(cfg.codec)
         opts = dict(cfg.codec_opts)
-        if plugin.bounded:
-            if (rel is None) == (abs is None):
-                raise InvalidInputError("specify exactly one of rel= or abs=")
-            opts["rel" if rel is not None else "abs"] = rel if rel is not None else abs
-        # fail fast on the caller's thread: bad options should not cost a
-        # round trip to a worker (the worker re-validates regardless)
-        plugin.validate_options(dict(opts))
+        if mode is not None:
+            opts["mode"] = mode
+        for key in ("mode", "kernel_backend"):
+            if key in plugin.options:
+                opts.setdefault(key, getattr(cfg, key))
+        opts, eb_abs = _chunked.resolve_request(data, plugin, opts, rel=rel, abs=abs)
 
         t0 = time.perf_counter()
         self.stats.counter("service.requests").inc()
@@ -441,18 +306,41 @@ class CompressionService:
             else None
         )
         trace = TraceContext(self.tracer, span) if span is not None else None
-        master = self._submit(
-            "codec.compress",
-            {"data": data, "codec": cfg.codec, "opts": opts},
-            priority=priority,
-            nbytes=data.nbytes,
-            batchable=True,
-            trace=trace,
-            deadline=self._deadline(timeout_s),
-            raw_fallback=(
-                (lambda: _chunked.raw_to_bytes(data)) if cfg.degrade_raw else None
-            ),
+        deadline = self._deadline(timeout_s)
+        # the CRC ship-back check needs a checksummed CSZ2 stream
+        validator = (
+            _verify_stream_result
+            if cfg.validate_results and plugin.magic == _stream.MAGIC
+            else None
         )
+
+        def submit(part: np.ndarray, batchable: bool) -> PoolFuture:
+            return self._submit(
+                "chunk.compress",
+                {"data": part, "codec": cfg.codec, "opts": opts},
+                priority=priority,
+                nbytes=part.nbytes,
+                batchable=batchable,
+                trace=trace,
+                deadline=deadline,
+                validator=validator,
+                # per-chunk raw floor: a sick fleet degrades only the
+                # chunks it failed, flagged per entry in the manifest
+                raw_fallback=(
+                    (lambda: _chunked.raw_to_bytes(part)) if cfg.degrade_raw else None
+                ),
+            )
+
+        if data.nbytes <= cfg.chunk_bytes:
+            master = submit(data, batchable=True)
+        else:
+            spans, axis, views = _chunked.split(data, opts, cfg.chunk_bytes)
+            master = _gather(
+                [submit(v, batchable=False) for v in views],
+                lambda streams: _chunked.assemble(
+                    data, spans, axis, streams, eb_abs, opts
+                ).to_bytes(),
+            )
 
         def account(f: PoolFuture) -> None:
             self.stats.histogram("service.compress_latency_s").observe(
@@ -536,16 +424,9 @@ class CompressionService:
                 )
                 for c in chunks.chunks
             ]
-            m = chunks.manifest
-
-            def assemble(parts):
-                if m.axis == "flat":
-                    out = np.concatenate([p.reshape(-1) for p in parts])
-                else:
-                    out = np.concatenate(parts, axis=0)
-                return out.reshape(m.shape)
-
-            master = _gather(futures, assemble)
+            master = _gather(
+                futures, lambda parts: _chunked.reassemble(chunks.manifest, parts)
+            )
         else:
             # single v2 stream, a CSZ2RAW1 passthrough container, or any
             # registered plugin's stream; the worker task sniffs the magic

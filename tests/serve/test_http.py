@@ -204,6 +204,29 @@ class TestTaxonomy400:
         assert err["error"] == "client"
         assert err["detail"]
 
+    def test_mode_for_codec_without_one_is_client_error(self):
+        """``?mode=`` is validated against the configured codec's options,
+        not dropped when the codec has no mode."""
+        body = np.linspace(0, 1, 256, dtype=np.float32).tobytes()
+
+        async def go():
+            with CompressionService(workers=1, codec="fzgpu") as svc:
+                async with _frontend(svc) as fe:
+                    bad = await _request(
+                        fe.port, "POST", "/v1/compress?rel=1e-3&mode=plain", body=body
+                    )
+                    good = await _request(
+                        fe.port, "POST", "/v1/compress?rel=1e-3", body=body
+                    )
+                    return bad, good
+
+        (st, _, payload), (st_ok, _, _) = asyncio.run(go())
+        assert st == 400
+        err = json.loads(payload)
+        assert err["error"] == "client"
+        assert "mode" in err["detail"]
+        assert st_ok == 200
+
     def test_garbage_stream_is_client_error(self, service):
         async def go():
             async with _frontend(service) as fe:
